@@ -3,7 +3,7 @@
 //! count — the form the baseline in `baseline.json` is kept in.
 //!
 //! ```text
-//! perfbench record --workloads timestep,large_solve --runs 10 --seconds 20 --trace 0
+//! perfbench record --workloads timestep,serve_fleet --runs 10 --seconds 30 --trace 0
 //! ```
 
 use std::collections::BTreeMap;

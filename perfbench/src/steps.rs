@@ -1,11 +1,8 @@
-//! The two closed-loop single-RHS workloads on `SolverEngine`:
-//!
-//! * `timestep` — an in-cache factor (100k rows, 200 levels); every
-//!   step solves with `b` derived from the previous solution, and a
-//!   fixed share of steps first writes perturbed values with
-//!   `refresh_values`, so reads and writes share the engine.
-//! * `large_solve` — a factor several times the last-level cache
-//!   (1M rows, 400 levels), read only, so the replay is memory-bound.
+//! `timestep`: the closed-loop single-RHS workload on `SolverEngine`.
+//! An in-cache factor (100k rows, 200 levels); every step solves with
+//! `b` derived from the previous solution, and a fixed share of steps
+//! first writes perturbed values with `refresh_values`, so reads and
+//! writes share the engine.
 
 use std::time::Instant;
 
@@ -25,23 +22,14 @@ pub fn solve_bytes(m: &CscMatrix) -> f64 {
     (m.nnz() * 12 + m.n() * (8 * 4 + 16)) as f64
 }
 
-struct Spec {
-    name: &'static str,
-    factor: CscMatrix,
-    /// Perturbed copies of the factor written in turn by
-    /// `refresh_values`; empty for a read-only workload.
-    refreshes: Vec<CscMatrix>,
-    /// A refresh precedes every `refresh_period`-th step.
-    refresh_period: u64,
-    /// `b` is derived from the previous solution (time stepping) or
-    /// drawn from a seeded pool (independent solves).
-    derive_rhs: bool,
-    /// On average one step in this many is checked against the
-    /// reference substitution, outside the timed interval.
-    check_every: u32,
-    /// Operations per window of the quietest-window statistics.
-    min_per_window: usize,
-}
+/// A refresh precedes every `REFRESH_PERIOD`-th step: refreshes are a
+/// fifth of the steps, so p90 lands inside them and p50 outside.
+const REFRESH_PERIOD: u64 = 5;
+/// On average one step in this many is checked against the reference
+/// substitution, outside the timed interval.
+const CHECK_EVERY: u32 = 50;
+/// Steps per window of the quietest-window statistics.
+const MIN_PER_WINDOW: usize = 100;
 
 /// A copy of `m` with every off-diagonal value scaled by a seeded
 /// factor in `[0.98, 1.02]`: same pattern, new values.
@@ -66,43 +54,11 @@ fn seeded_vec(rng: &mut Pcg32, n: usize) -> Vec<f64> {
 
 pub fn timestep(run: Run) -> Outcome {
     let mut rng = Pcg32::new(run.seed, 0x75);
-    let factor = gen::level_structured(&LevelSpec::new(100_000, 200, 400_000, rng.next_u64()));
-    let refreshes = (0..2).map(|_| perturbed(&factor, &mut rng)).collect();
-    let spec = Spec {
-        name: "timestep",
-        factor,
-        refreshes,
-        // one step in five refreshes first: refreshes are a fifth of
-        // the steps, so p90 lands inside them and p50 outside
-        refresh_period: 5,
-        derive_rhs: true,
-        check_every: 50,
-        min_per_window: 100,
-    };
-    closed_loop(run, spec, rng)
-}
-
-pub fn large_solve(run: Run) -> Outcome {
-    let mut rng = Pcg32::new(run.seed, 0x1A);
-    let factor = gen::level_structured(&LevelSpec::new(1_000_000, 400, 4_000_000, rng.next_u64()));
-    let spec = Spec {
-        name: "large_solve",
-        factor,
-        refreshes: Vec::new(),
-        refresh_period: 0,
-        derive_rhs: false,
-        check_every: 8,
-        min_per_window: 20,
-    };
-    closed_loop(run, spec, rng)
-}
-
-fn closed_loop(run: Run, spec: Spec, mut rng: Pcg32) -> Outcome {
+    let m = &gen::level_structured(&LevelSpec::new(100_000, 200, 400_000, rng.next_u64()));
+    let refreshes: Vec<CscMatrix> = (0..2).map(|_| perturbed(m, &mut rng)).collect();
     let mut out = Outcome { checks_ok: true, ..Outcome::default() };
-    let m = &spec.factor;
     let n = m.n();
-    let rhs_pool: Vec<Vec<f64>> = (0..4).map(|_| seeded_vec(&mut rng, n)).collect();
-    let source = &rhs_pool[0];
+    let source = &seeded_vec(&mut rng, n);
 
     // set-up: the engine build and the first solve; the last engine
     // built is the one measured
@@ -135,23 +91,17 @@ fn closed_loop(run: Run, spec: Spec, mut rng: Pcg32) -> Outcome {
     let mut k = 0u64;
     while start.elapsed() < run.seconds {
         let trace_this = run.trace && k % 2 == 1;
-        let check = k == 0 || rng.next_below(spec.check_every) == 0;
-        let refresh = (!spec.refreshes.is_empty()
-            && k.is_multiple_of(spec.refresh_period)
-            && k > 0)
-            .then(|| &spec.refreshes[(k / spec.refresh_period) as usize % spec.refreshes.len()]);
-        let pool_rhs = &rhs_pool[k as usize % rhs_pool.len()];
+        let check = k == 0 || rng.next_below(CHECK_EVERY) == 0;
+        let refresh = (k.is_multiple_of(REFRESH_PERIOD) && k > 0)
+            .then(|| &refreshes[(k / REFRESH_PERIOD) as usize % refreshes.len()]);
         let t = Instant::now();
         // --- one operation ---
         let refreshed = refresh.map(|m2| (m2, timed(|| engine.refresh_values(m2))));
-        if spec.derive_rhs {
-            let scale = 0.5 / x.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
-            for ((bi, si), xi) in b.iter_mut().zip(source).zip(&x) {
-                *bi = si + scale * xi;
-            }
+        let scale = 0.5 / x.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
+        for ((bi, si), xi) in b.iter_mut().zip(source).zip(&x) {
+            *bi = si + scale * xi;
         }
-        let rhs = if spec.derive_rhs { &b } else { pool_rhs };
-        let (res, d_solve) = timed(|| engine.solve_into(rhs, &mut x_next, &mut ws));
+        let (res, d_solve) = timed(|| engine.solve_into(&b, &mut x_next, &mut ws));
         // ---
         let d = t.elapsed();
         k += 1;
@@ -181,7 +131,7 @@ fn closed_loop(run: Run, spec: Spec, mut rng: Pcg32) -> Outcome {
         }
         if check {
             let ((), d_ref) = timed(|| {
-                reference::solve_lower_into(current, rhs, &mut left_sum, &mut x_ref)
+                reference::solve_lower_into(current, &b, &mut left_sum, &mut x_ref)
                     .expect("reference substitution");
             });
             ref_ms.push(ms(d_ref));
@@ -191,14 +141,13 @@ fn closed_loop(run: Run, spec: Spec, mut rng: Pcg32) -> Outcome {
         std::mem::swap(&mut x, &mut x_next);
     }
     eprintln!(
-        "{}: n={n} nnz={} steps={} checked={} refreshes={}",
-        spec.name,
+        "timestep: n={n} nnz={} steps={} checked={} refreshes={}",
         m.nnz(),
         lat.len(),
         ref_ms.len(),
         refreshes_done
     );
-    crate::closed_loop_metrics(&mut out, &lat, spec.min_per_window);
+    crate::closed_loop_metrics(&mut out, &lat, MIN_PER_WINDOW);
     out.set("peak_rss_mb", host::proc_status_mb("VmHWM").unwrap_or(0.0));
     if !run.trace {
         return out;
